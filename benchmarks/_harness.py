@@ -25,16 +25,24 @@ from repro.persistence import save_json_digested
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
-__all__ = ["RESULTS_DIR", "emit_bench_json", "peak_rss_bytes"]
+__all__ = [
+    "RESULTS_DIR",
+    "children_peak_rss_bytes",
+    "emit_bench_json",
+    "peak_rss_bytes",
+]
 
 
 def peak_rss_bytes() -> int | None:
-    """This process's peak resident set size in bytes, if measurable.
+    """The calling process's own peak resident set size in bytes.
 
     Reads ``VmHWM`` from ``/proc/self/status`` (Linux), falling back to
-    ``resource.getrusage`` (``ru_maxrss`` is KiB on Linux, bytes on
-    macOS).  Returns ``None`` on platforms exposing neither — callers
-    record it as "unmeasured" rather than guessing.
+    ``resource.getrusage(RUSAGE_SELF)`` (``ru_maxrss`` is KiB on Linux,
+    bytes on macOS).  Child processes — forked round workers, sweep
+    pool workers — are *not* included; see
+    :func:`children_peak_rss_bytes`.  Returns ``None`` on platforms
+    exposing neither — callers record it as "unmeasured" rather than
+    guessing.
     """
     try:
         with open("/proc/self/status") as handle:
@@ -48,6 +56,23 @@ def peak_rss_bytes() -> int | None:
         import sys
 
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        return peak if sys.platform == "darwin" else peak * 1024
+    except Exception:  # pragma: no cover - platform-dependent
+        return None
+
+
+def children_peak_rss_bytes() -> int | None:
+    """Largest peak RSS of any terminated, waited-for child, in bytes.
+
+    ``resource.getrusage(RUSAGE_CHILDREN).ru_maxrss``: the maximum over
+    reaped descendants, not their sum, and children still running are
+    not counted yet.  ``None`` where ``resource`` is unavailable.
+    """
+    try:
+        import resource
+        import sys
+
+        peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
         return peak if sys.platform == "darwin" else peak * 1024
     except Exception:  # pragma: no cover - platform-dependent
         return None

@@ -43,7 +43,7 @@ import time
 
 import numpy as np
 
-from _harness import emit_bench_json, peak_rss_bytes
+from _harness import children_peak_rss_bytes, emit_bench_json, peak_rss_bytes
 from repro.config import (
     AttackConfig,
     DatasetConfig,
@@ -247,10 +247,16 @@ def main(argv: list[str]) -> int:
           "0 pickled")
 
     # -- memory ---------------------------------------------------------
+    # The bound applies to this (parent) process; the forked round and
+    # sweep workers are reaped by now and reported separately.
     peak = peak_rss_bytes()
+    children_peak = children_peak_rss_bytes()
     assert peak is not None, "peak RSS unmeasurable on this platform"
     print(f"  peak RSS {peak / 2**30:.2f} GiB "
-          f"(bound {p['rss_bound_bytes'] / 2**30:.2f} GiB)")
+          f"(bound {p['rss_bound_bytes'] / 2**30:.2f} GiB); largest "
+          "child peak "
+          + ("unmeasured" if children_peak is None
+             else f"{children_peak / 2**30:.2f} GiB"))
     assert peak <= p["rss_bound_bytes"], (
         f"peak RSS {peak / 2**30:.2f} GiB exceeds the "
         f"{p['rss_bound_bytes'] / 2**30:.2f} GiB bound — client state "
@@ -276,6 +282,7 @@ def main(argv: list[str]) -> int:
             "sweep_shm_datasets": shm_datasets,
             "sweep_pickled_datasets": pickled_datasets,
             "rss_bound_bytes": p["rss_bound_bytes"],
+            "children_peak_rss_bytes": children_peak,
             "speedup_floor_enforced": (not smoke) and cores >= 4,
         },
     )

@@ -9,8 +9,13 @@ Re1 / Re2 regularization terms to their training loss (Eq. 14-16).
 """
 
 from repro.defenses.coordinated import ItemScaleClip
-from repro.defenses.regularization import ClientRegularizer
-from repro.defenses.registry import DEFENSE_NAMES, build_server_defense, client_regularizer_factory
+from repro.defenses.regularization import ClientRegularizer, ReferenceRegularizer
+from repro.defenses.registry import (
+    DEFENSE_NAMES,
+    build_client_regularizer,
+    build_server_defense,
+    client_regularizer_factory,
+)
 from repro.defenses.robust import (
     BulyanAggregator,
     KrumAggregator,
@@ -28,8 +33,10 @@ __all__ = [
     "MultiKrumAggregator",
     "BulyanAggregator",
     "ClientRegularizer",
+    "ReferenceRegularizer",
     "ItemScaleClip",
     "DEFENSE_NAMES",
+    "build_client_regularizer",
     "build_server_defense",
     "client_regularizer_factory",
 ]

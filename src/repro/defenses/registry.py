@@ -6,7 +6,7 @@ from typing import Callable
 
 from repro.config import DefenseConfig
 from repro.defenses.coordinated import ItemScaleClip
-from repro.defenses.regularization import ClientRegularizer
+from repro.defenses.regularization import ClientRegularizer, ReferenceRegularizer
 from repro.defenses.robust import (
     BulyanAggregator,
     KrumAggregator,
@@ -17,7 +17,12 @@ from repro.defenses.robust import (
 )
 from repro.federated.aggregation import Aggregator, SumAggregator
 
-__all__ = ["DEFENSE_NAMES", "build_server_defense", "client_regularizer_factory"]
+__all__ = [
+    "DEFENSE_NAMES",
+    "build_client_regularizer",
+    "build_server_defense",
+    "client_regularizer_factory",
+]
 
 #: All defenses runnable by name. "hybrid" is the *naive* future-work
 #: composition (client regularization + server NormBound — measured as
@@ -38,13 +43,16 @@ DEFENSE_NAMES = (
     "coordinated",
 )
 
+#: Defenses whose benign clients run the regularization terms.
+_CLIENT_SIDE = ("regularization", "hybrid", "coordinated")
+
 
 def build_server_defense(config: DefenseConfig):
     """Return ``(aggregator, update_filter)`` for a defense config.
 
     The client-side ``regularization`` defense leaves the server
     undefended (plain sum, no filter) — its protection happens inside
-    benign clients (see :func:`client_regularizer_factory`).
+    benign clients (see :func:`build_client_regularizer`).
     """
     name = config.name
     if name not in DEFENSE_NAMES:
@@ -68,16 +76,28 @@ def build_server_defense(config: DefenseConfig):
     return aggregator, update_filter
 
 
-def client_regularizer_factory(
+def build_client_regularizer(
     config: DefenseConfig, num_items: int
-) -> Callable[[], ClientRegularizer] | None:
-    """Factory creating one :class:`ClientRegularizer` per benign client.
+) -> ClientRegularizer | None:
+    """The batched client-side defense for all benign clients (batch engine).
 
     Returns ``None`` for every defense without a client-side component
-    (only ``regularization`` and ``hybrid`` have one); each benign
-    client needs its *own* miner state, hence a factory rather than a
-    shared instance.
+    (only ``regularization``, ``hybrid`` and ``coordinated`` have one).
     """
-    if config.name not in ("regularization", "hybrid", "coordinated"):
+    if config.name not in _CLIENT_SIDE:
         return None
-    return lambda: ClientRegularizer(num_items, config)
+    return ClientRegularizer(num_items, config)
+
+
+def client_regularizer_factory(
+    config: DefenseConfig, num_items: int
+) -> Callable[[], ReferenceRegularizer] | None:
+    """Factory creating one :class:`ReferenceRegularizer` per benign client.
+
+    The loop engine's oracle: each benign client needs its *own* miner
+    state, hence a factory rather than a shared instance.  ``None``
+    exactly when :func:`build_client_regularizer` returns ``None``.
+    """
+    if config.name not in _CLIENT_SIDE:
+        return None
+    return lambda: ReferenceRegularizer(num_items, config)

@@ -9,7 +9,7 @@ the item/parameter gradients.
 When the paper's defense is active, the client additionally feeds the
 received item matrix to its own popular-item miner and augments its
 loss with the two regularization terms (Eq. 16) via a ``regularizer``
-hook (see :class:`repro.defenses.regularization.ClientRegularizer`).
+hook (see :class:`repro.defenses.regularization.ReferenceRegularizer`).
 
 :meth:`BenignClient.participate` is the *reference* local step: the
 vectorised batch engine (:mod:`repro.federated.batch_engine`) executes

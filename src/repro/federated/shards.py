@@ -22,9 +22,10 @@ crosses process boundaries: a worker attaches the segments it needs
 zero-copy and sees the *live* state, so N workers cost ~one dataset of
 RSS instead of N.
 
-Regularizers are the one piece that cannot live in a segment: the
-client-side defense keeps genuinely per-user mutable Python objects.
-They stay in the creating process exactly as in the dense store; the
+The client-side defense is the one piece that does not live in a
+segment: the loop engine's per-user oracle regularizers stay in the
+creating process exactly as in the dense store, and the batch
+engine's batched regularizer belongs to the simulation.  The
 multi-process executor refuses regularized configs loudly instead of
 silently diverging (see
 :class:`~repro.federated.batch_engine.ProcessRoundExecutor`).
@@ -835,7 +836,7 @@ class ShardedStateStore:
             )
         )
 
-    # -- regularizers (per-user Python state, creator-process only) -----
+    # -- loop-engine oracle regularizers (creator-process only) ---------
 
     @property
     def has_regularizers(self) -> bool:

@@ -50,7 +50,11 @@ from repro.attacks.registry import build_malicious_clients, num_malicious_for_ra
 from repro.config import AttackConfig, ExperimentConfig
 from repro.datasets.base import InteractionDataset
 from repro.datasets.loaders import load_dataset
-from repro.defenses.registry import build_server_defense, client_regularizer_factory
+from repro.defenses.registry import (
+    build_client_regularizer,
+    build_server_defense,
+    client_regularizer_factory,
+)
 from repro.federated.async_engine import AsyncFederationEngine, AsyncStats
 from repro.federated.audit import ServerAuditLog
 from repro.federated.batch_engine import BatchClientEngine, ProcessRoundExecutor
@@ -141,8 +145,19 @@ class FederatedSimulation:
         self.attack_cfg = attack_cfg
         self.targets = self._select_targets(attack_cfg)
 
-        regularizer_factory = client_regularizer_factory(
-            config.defense, self.dataset.num_items
+        # The client-side defense: one batched ClientRegularizer for all
+        # benign clients under the batch engine; one ReferenceRegularizer
+        # per benign user (created lazily by the store) under the loop
+        # engine, whose views run the per-client hooks.
+        self.regularizer = (
+            build_client_regularizer(config.defense, self.dataset.num_items)
+            if engine == "batch"
+            else None
+        )
+        regularizer_factory = (
+            client_regularizer_factory(config.defense, self.dataset.num_items)
+            if engine == "loop"
+            else None
         )
         # All benign client state lives in one struct-of-arrays store
         # (embedding matrix + CSR interactions), initialised
@@ -239,8 +254,8 @@ class FederatedSimulation:
         # in-process path.  The combination constraints are rejected
         # loudly (never silently degraded): the executor needs the
         # batched wave math and a shared (not copy-on-write) store, and
-        # client-side regularizers are mutable per-user Python objects
-        # that cannot cross the process boundary.
+        # the client-side defense's miner state lives only in this
+        # process.
         if sharding.uses_executor:
             if engine != "batch":
                 raise ValueError(
@@ -252,6 +267,13 @@ class FederatedSimulation:
                     "sharding.round_workers >= 2 and asynchrony are "
                     "mutually exclusive: the event loop drives waves "
                     "in-process"
+                )
+            if self.regularizer is not None:
+                raise ValueError(
+                    "sharding.round_workers >= 2 cannot execute client-side "
+                    "regularization: the defense's miner state lives only "
+                    "in the parent process. Run this config in-process "
+                    "(round_workers=0)."
                 )
             self.executor = ProcessRoundExecutor(
                 self.model,
@@ -276,6 +298,7 @@ class FederatedSimulation:
                 kernel_backend=self.kernel_backend,
                 fault_controller=self.fault_controller,
                 executor=self.executor,
+                regularizer=self.regularizer,
             )
             if engine == "batch"
             else None
@@ -538,8 +561,9 @@ class FederatedSimulation:
         """Assemble the full mutable state of the run at a round boundary.
 
         Everything a resumed process cannot re-derive goes in: global
-        model parameters, the client store's private embeddings and
-        materialised defense regularizers (their observed state), the
+        model parameters, the client store's private embeddings, the
+        client-side defense's mining state (the batched regularizer with
+        its ledger, or the loop engine's per-user oracles), the
         adversary objects (mining trackers, participation counters —
         pickled as one graph so the cohort keeps adopting the same
         client objects), server/engine counters, the staleness buffer
@@ -558,6 +582,7 @@ class FederatedSimulation:
             "model_params": [p.copy() for p in self.model.interaction_params()],
             "user_embeddings": self.state.snapshot_embeddings(),
             "regularizers": self.state._regularizers,
+            "regularizer": self.regularizer,
             "adversary": (self.malicious_clients, self.malicious_cohort),
             # The server's log is the authoritative one: it is the
             # object that records, whether it was attached via
@@ -618,6 +643,13 @@ class FederatedSimulation:
                 "checkpoint target items do not match; was the simulation "
                 "built from a different dataset?"
             )
+        if "regularizer" not in payload and (
+            self.regularizer is not None or self.state.has_regularizers
+        ):
+            raise ValueError(
+                "checkpoint predates the batched regularization defense; "
+                "re-run from scratch"
+            )
         self.model.item_embeddings[...] = payload["model_items"]
         for param, saved in zip(
             self.model.interaction_params(), payload["model_params"]
@@ -625,6 +657,7 @@ class FederatedSimulation:
             param[...] = saved
         self.state.load_embeddings(payload["user_embeddings"])
         self.state._regularizers = payload["regularizers"]
+        self.regularizer = payload.get("regularizer")
         clients, cohort = payload["adversary"]
         self.malicious_clients = clients
         self.malicious_cohort = cohort
@@ -637,6 +670,7 @@ class FederatedSimulation:
         if engine is not None:
             engine.malicious_clients = clients
             engine.cohort = cohort
+            engine.regularizer = self.regularizer
             if payload["engine_counters"] is not None:
                 for name, value in payload["engine_counters"].items():
                     setattr(engine, name, value)

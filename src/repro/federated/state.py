@@ -26,11 +26,14 @@ per-object rows it needs.
   draws every client's fixed rate in one vectorised
   :func:`~repro.rng.spawn_first_uniform` pass (cached), bit-identical
   to the scalar ``spawn(seed, "client-lr", u)`` draws.
-* regularizers — the paper's client-side defense keeps genuinely
-  per-user mutable state (each client runs its own popular-item
-  miner), so those objects stay per-user Python state, created
-  *lazily* on first access: an undefended store never allocates any,
-  and a defended one only pays for users that actually participate.
+* regularizers — the loop engine's per-user defense oracles
+  (:class:`~repro.defenses.regularization.ReferenceRegularizer`, one
+  popular-item miner per client), created *lazily* on first access:
+  an undefended store never allocates any, and a defended one only
+  pays for users that actually participate.  The batch engine keeps
+  no per-user defense state here; its one batched
+  :class:`~repro.defenses.regularization.ClientRegularizer` serves
+  every benign client.
 
 The object API survives as a thin view layer:
 :meth:`~repro.federated.client.BenignClient.from_store` wraps a store
@@ -299,7 +302,7 @@ class ClientStateStore:
         return self.client_lrs(lr_range)[np.asarray(user_ids)]
 
     # ------------------------------------------------------------------
-    # Defense regularizers (inherently per-user mutable state)
+    # Loop-engine defense oracles (per-user mutable state)
     # ------------------------------------------------------------------
 
     @property

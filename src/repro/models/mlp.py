@@ -28,7 +28,9 @@ class Linear:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Apply the affine map to a batch ``x`` of shape (n, in_dim)."""
-        return x @ self.weight + self.bias
+        z = x @ self.weight
+        z += self.bias
+        return z
 
     def backward(
         self, x: np.ndarray, dz: np.ndarray
@@ -111,7 +113,8 @@ class MLPTower:
         cache = [x]
         current = x
         for layer in self.layers:
-            current = np.maximum(layer.forward(current), 0.0)
+            current = layer.forward(current)
+            np.maximum(current, 0.0, out=current)
             cache.append(current)
         logits = cache[-1] @ self.projection
         return logits, cache
@@ -151,7 +154,9 @@ class MLPTower:
         dlogits: np.ndarray,
         starts: np.ndarray,
         lengths: np.ndarray,
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        *,
+        resolve: frozenset[int] | None = None,
+    ) -> tuple[np.ndarray, list[np.ndarray | None]]:
         """Backward pass resolving parameter gradients per client segment.
 
         ``cache``/``dlogits`` come from one flattened :meth:`forward`
@@ -165,36 +170,40 @@ class MLPTower:
 
         Returns ``(dx, param_stacks)`` where ``dx`` covers all rows and
         ``param_stacks`` is ordered like :meth:`param_list` with one
-        leading ``(num_segments,)`` axis.
+        leading ``(num_segments,)`` axis.  ``resolve`` (indices into
+        :meth:`param_list`) restricts the per-segment reductions to the
+        parameters a caller reads; the others come back as ``None``.
         """
         num_segments = len(starts)
         segs = [
             slice(int(s), int(s) + int(n)) for s, n in zip(starts, lengths)
         ]
-        final_act = cache[-1]
-        dproj = np.empty((num_segments, len(self.projection)))
-        for k, seg in enumerate(segs):
-            dproj[k] = final_act[seg].T @ dlogits[seg]
-        dact = np.outer(dlogits, self.projection)
 
-        stacks_reversed: list[tuple[np.ndarray, np.ndarray]] = []
+        def reduce(index: int, shape: tuple, per_segment) -> np.ndarray | None:
+            if resolve is not None and index not in resolve:
+                return None
+            stack = np.empty((num_segments,) + shape)
+            for k, seg in enumerate(segs):
+                stack[k] = per_segment(seg)
+            return stack
+
+        final_act = cache[-1]
+        param_stacks: list[np.ndarray | None] = [None] * (2 * len(self.layers) + 1)
+        param_stacks[-1] = reduce(
+            len(param_stacks) - 1,
+            self.projection.shape,
+            lambda seg: final_act[seg].T @ dlogits[seg],
+        )
+        dact = np.outer(dlogits, self.projection)
         for index in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[index]
-            act_out = cache[index + 1]
             act_in = cache[index]
-            dz = dact * (act_out > 0.0)
-            dw = np.empty((num_segments,) + layer.weight.shape)
-            db = np.empty((num_segments,) + layer.bias.shape)
-            for k, seg in enumerate(segs):
-                dw[k] = act_in[seg].T @ dz[seg]
-                db[k] = dz[seg].sum(axis=0)
+            dz = dact * (cache[index + 1] > 0.0)
+            param_stacks[2 * index] = reduce(
+                2 * index, layer.weight.shape, lambda seg: act_in[seg].T @ dz[seg]
+            )
+            param_stacks[2 * index + 1] = reduce(
+                2 * index + 1, layer.bias.shape, lambda seg: dz[seg].sum(axis=0)
+            )
             dact = dz @ layer.weight.T
-            stacks_reversed.append((dw, db))
-        stacks_reversed.reverse()
-
-        param_stacks: list[np.ndarray] = []
-        for dw, db in stacks_reversed:
-            param_stacks.append(dw)
-            param_stacks.append(db)
-        param_stacks.append(dproj)
         return dact, param_stacks

@@ -24,6 +24,7 @@ import pytest
 from repro import kernels, persistence
 from repro.config import (
     AttackConfig,
+    DefenseConfig,
     ExperimentConfig,
     FaultConfig,
     ModelConfig,
@@ -192,6 +193,69 @@ class TestResumeBitIdentity:
             _interrupted(cfg, tiny_dataset, "batch", tmp_path, stop_after=7),
             ref_state,
         )
+
+
+class TestRegularizationResume:
+    """The client-side defense's mining state crosses the checkpoint.
+
+    The boundary (round 6 of 10 on the tiny dataset) splits the benign
+    population: some users have frozen their mined sets, others are
+    still mining against baselines held by the shared observation
+    ledger — whose per-round refcounts must survive the pickle.
+    """
+
+    CHECKPOINT_ROUND = 6
+
+    def _cfg(self, model_kind):
+        return _config(model_kind, defense=DefenseConfig(name="regularization"))
+
+    @pytest.mark.parametrize("model_kind", ["mf", "ncf"])
+    def test_boundary_is_mid_mining(self, tiny_dataset, model_kind):
+        sim = FederatedSimulation(self._cfg(model_kind), tiny_dataset)
+        for round_idx in range(self.CHECKPOINT_ROUND):
+            sim.run_round(round_idx)
+        miner = sim.regularizer.miner
+        assert miner.num_ready > 0
+        assert miner.num_mining > 0
+        assert len(miner.ledger) > 0
+
+    @pytest.mark.parametrize("engine", ["batch", "loop"])
+    @pytest.mark.parametrize("model_kind", ["mf", "ncf"])
+    def test_resume_bit_identical(self, tiny_dataset, tmp_path, engine, model_kind):
+        cfg = self._cfg(model_kind)
+        reference = FederatedSimulation(cfg, tiny_dataset, engine=engine)
+        ref_state = _final_state(reference, reference.run())
+
+        ckpt_dir = str(tmp_path / "ckpt")
+        first = FederatedSimulation(cfg, tiny_dataset, engine=engine)
+        first.run(rounds=7, checkpoint_dir=ckpt_dir, checkpoint_every=3)
+        boundary = persistence.checkpoint_path(ckpt_dir, self.CHECKPOINT_ROUND)
+        assert persistence.latest_checkpoint(ckpt_dir) == boundary
+        resumed = FederatedSimulation(cfg, tiny_dataset, engine=engine)
+        result = resumed.run(checkpoint_dir=ckpt_dir, checkpoint_every=3)
+        _assert_identical(_final_state(resumed, result), ref_state)
+        if engine == "batch":
+            ref_miner = reference.regularizer.miner
+            miner = resumed.regularizer.miner
+            assert resumed._batch_engine.regularizer is resumed.regularizer
+            assert miner.ledger._refs == ref_miner.ledger._refs
+            assert miner.num_ready == ref_miner.num_ready
+            assert np.array_equal(miner.mined, ref_miner.mined)
+
+    def test_checkpoint_without_defense_state_rejected(self, tiny_dataset):
+        cfg = self._cfg("mf")
+        sim = FederatedSimulation(cfg, tiny_dataset)
+        for round_idx in range(3):
+            sim.run_round(round_idx)
+        payload = sim.checkpoint_payload(3)
+        del payload["regularizer"]
+        fresh = FederatedSimulation(cfg, tiny_dataset)
+        items_before = fresh.model.item_embeddings.copy()
+        assert not np.array_equal(items_before, payload["model_items"])
+        with pytest.raises(ValueError, match="predates"):
+            fresh.restore_checkpoint(payload)
+        # Refused before any state is touched: no half-restored model.
+        assert np.array_equal(fresh.model.item_embeddings, items_before)
 
 
 class TestResumeGuards:

@@ -67,6 +67,24 @@ class TestPopularItemMiner:
         miner.observe(np.array([[5.0, 0], [99.0, 0], [0, 0]]))
         np.testing.assert_array_equal(miner.popular_items(), first)
 
+    def test_frozen_miner_keeps_no_item_matrix_copy(self):
+        miner = PopularItemMiner(6, mining_rounds=1, num_popular=2)
+        matrix = np.arange(12.0).reshape(6, 2)
+        miner.observe(matrix)
+        assert miner._tracker._last is not None  # baseline held while mining
+        miner.observe(matrix * 2.0)
+        assert miner.ready
+        # Freezing drops the tracker: no (num_items, dim) baseline copy
+        # and no accumulator outlive the mined set.
+        assert miner._tracker is None
+        assert not any(
+            isinstance(value, np.ndarray) and value.ndim == 2
+            for value in vars(miner).values()
+        )
+        np.testing.assert_array_equal(miner.popular_items(), [5, 4])
+        miner.observe(matrix)  # later observations stay no-ops
+        assert miner._tracker is None
+
     def test_identifies_high_churn_items(self):
         rng = make_rng(0)
         miner = PopularItemMiner(10, mining_rounds=3, num_popular=3)
@@ -102,3 +120,4 @@ class TestPopularItemMiner:
         head = int(0.3 * sim.dataset.num_items)
         # A clear majority of mined items are genuinely popular.
         assert (mined_ranks < head).mean() >= 0.6
+

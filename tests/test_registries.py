@@ -14,9 +14,11 @@ from repro.datasets.synthetic import generate_longtail_dataset
 from repro.config import AttackConfig, DefenseConfig
 from repro.defenses.registry import (
     DEFENSE_NAMES,
+    build_client_regularizer,
     build_server_defense,
     client_regularizer_factory,
 )
+from repro.defenses.regularization import ClientRegularizer, ReferenceRegularizer
 from repro.defenses.coordinated import ItemScaleClip
 from repro.defenses.robust import (
     BulyanAggregator,
@@ -213,6 +215,16 @@ class TestDefenseRegistry:
             assert factory is not None
             # Each call creates independent per-client state.
             assert factory() is not factory()
+
+    def test_batched_and_oracle_regularizers_cover_the_same_defenses(self):
+        for name in DEFENSE_NAMES:
+            config = DefenseConfig(name=name)
+            batched = build_client_regularizer(config, 10)
+            factory = client_regularizer_factory(config, 10)
+            assert (batched is None) == (factory is None)
+            if batched is not None:
+                assert isinstance(batched, ClientRegularizer)
+                assert isinstance(factory(), ReferenceRegularizer)
 
     def test_all_names_covered(self):
         assert set(DEFENSE_NAMES) == {
